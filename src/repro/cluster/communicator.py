@@ -56,12 +56,14 @@ class VirtualCluster:
         if n_nodes < 1:
             raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
         self.n_nodes = int(n_nodes)
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.topology = topology if topology is not None else FatTree(self.n_nodes)
-        if self.topology.n_nodes != self.n_nodes:
+        self._cost_model = cost_model if cost_model is not None else CostModel()
+        self._topology = topology if topology is not None else FatTree(self.n_nodes)
+        if self._topology.n_nodes != self.n_nodes:
             raise ConfigurationError(
-                f"topology is sized for {self.topology.n_nodes} nodes, cluster has {self.n_nodes}"
+                f"topology is sized for {self._topology.n_nodes} nodes, cluster has {self.n_nodes}"
             )
+        #: Whether every charge draws cost noise (fixed with the model).
+        self._noisy = self._cost_model.noise != 0.0
         self.rng = np.random.default_rng(seed)
         self.nodes = [NodeState(rank) for rank in range(self.n_nodes)]
         self.clocks = np.zeros(self.n_nodes, dtype=np.float64)
@@ -73,6 +75,8 @@ class VirtualCluster:
         #: Compiled (ranks, amounts, seconds) per charge profile.
         self._compiled_charges: dict[tuple, tuple] = {}
         self._compiled_memcpys: dict[tuple, tuple] = {}
+        #: Noise-free all-node allreduce cost per payload size.
+        self._allreduce_costs: dict[int, float] = {}
         #: Compute-kernel backend spec; resolved lazily on first access
         #: (``None`` means the library default, currently "vectorized").
         self._kernels_spec: "str | KernelBackend | None" = kernels
@@ -105,6 +109,21 @@ class VirtualCluster:
     def elapsed(self) -> float:
         """Simulated makespan so far (max over node clocks)."""
         return float(self.clocks.max())
+
+    @property
+    def cost_model(self) -> CostModel:
+        """The machine constants.
+
+        Read-only: the compiled charge, memcpy and allreduce caches and
+        every :class:`CompiledExchange` are only valid for the model
+        they were built under.
+        """
+        return self._cost_model
+
+    @property
+    def topology(self) -> Topology:
+        """The network topology (read-only, like :attr:`cost_model`)."""
+        return self._topology
 
     @property
     def kernels(self) -> "KernelBackend":
@@ -300,48 +319,60 @@ class VirtualCluster:
         :meth:`~repro.distribution.partition.BlockRowPartition.charge_profile`).
 
         Equivalent to ``charge(compute=profile)``; repeated bills are
-        compiled once per (profile, cost model) into fused numpy
-        updates.  Falls back to the per-item loop under cost noise (RNG
-        draw order) or with failed nodes present (liveness errors).
+        compiled once per profile into fused numpy updates (whole-array
+        adds when the profile covers every rank in order).  Falls back
+        to the per-item loop under cost noise (RNG draw order) or with
+        failed nodes present (liveness errors).
         """
-        if self.cost_model.noise != 0.0 or self._dead_count:
+        if self._noisy or self._dead_count:
             self.charge(compute=profile)
             return
         entry = self._compiled_charges.get(profile)
         if entry is None:
-            ranks = np.array([rank for rank, _ in profile], dtype=np.intp)
-            amounts = np.array([amount for _, amount in profile], dtype=np.float64)
-            seconds = np.array(
-                [amount * self.cost_model.gamma for _, amount in profile],
-                dtype=np.float64,
-            )
-            entry = (ranks, amounts, seconds)
+            entry = self._compile_profile(profile, self._cost_model.gamma)
             self._compiled_charges[profile] = entry
         ranks, amounts, seconds = entry
-        self.clocks[ranks] += seconds
-        self.stats.flops[ranks] += amounts
+        if ranks is None:
+            self.clocks += seconds
+            self.stats.flops += amounts
+        else:
+            self.clocks[ranks] += seconds
+            self.stats.flops[ranks] += amounts
 
     def charge_memcpy(self, profile: tuple[tuple[int, float], ...]) -> None:
         """Apply a fixed memcpy bill (``(rank, nbytes)`` pairs).
 
         The memcpy analogue of :meth:`charge_compute`.
         """
-        if self.cost_model.noise != 0.0 or self._dead_count:
+        if self._noisy or self._dead_count:
             self.charge(memcpy=profile)
             return
         entry = self._compiled_memcpys.get(profile)
         if entry is None:
-            ranks = np.array([rank for rank, _ in profile], dtype=np.intp)
-            amounts = np.array([int(amount) for _, amount in profile], dtype=np.int64)
-            seconds = np.array(
-                [amount * self.cost_model.mu for _, amount in profile],
-                dtype=np.float64,
-            )
-            entry = (ranks, amounts, seconds)
+            entry = self._compile_profile(profile, self._cost_model.mu, np.int64)
             self._compiled_memcpys[profile] = entry
         ranks, amounts, seconds = entry
-        self.clocks[ranks] += seconds
-        self.stats.local_copy_bytes[ranks] += amounts
+        if ranks is None:
+            self.clocks += seconds
+            self.stats.local_copy_bytes += amounts
+        else:
+            self.clocks[ranks] += seconds
+            self.stats.local_copy_bytes[ranks] += amounts
+
+    def _compile_profile(
+        self, profile: tuple[tuple[int, float], ...], rate: float, dtype=np.float64
+    ) -> tuple:
+        """``(ranks, amounts, seconds)`` of one noise-free bill.
+
+        ``ranks`` is ``None`` when the profile lists every rank in
+        ascending order, so the bill applies as whole-array adds.
+        """
+        ranks = [rank for rank, _ in profile]
+        amounts = np.array([amount for _, amount in profile], dtype=dtype)
+        seconds = np.array([amount * rate for _, amount in profile], dtype=np.float64)
+        if ranks == list(range(self.n_nodes)):
+            return None, amounts, seconds
+        return np.array(ranks, dtype=np.intp), amounts, seconds
 
     def compile_exchange(
         self,
@@ -360,7 +391,7 @@ class VirtualCluster:
         :meth:`exchange`, so the resulting clocks are bit-identical.
 
         The compiled form is only valid for this cluster's cost model
-        and topology (both immutable for a cluster's lifetime).
+        and topology (both read-only for a cluster's lifetime).
         """
         return CompiledExchange(self, tuple(messages), tuple(piggyback))
 
@@ -377,10 +408,12 @@ class VirtualCluster:
         sends = compiled.sends
         if not sends:
             return
-        if self.cost_model.noise != 0.0 or self._dead_count:
+        if self._noisy or self._dead_count:
             self.exchange(compiled.messages, piggyback=compiled.piggyback)
             return
-        clocks = self.clocks
+        # Python floats round exactly like the float64 clock entries and
+        # skip numpy's per-element scalar boxing.
+        clocks = self.clocks.tolist()
         finishes = {}
         for src, total in sends:
             finish = clocks[src] + total
@@ -394,11 +427,11 @@ class VirtualCluster:
                     latest = candidate
             if latest > clocks[dst]:
                 clocks[dst] = latest
+        self.clocks[:] = clocks
         stats = self.stats
-        ranks = compiled.ranks
-        stats.bytes_sent[ranks] += compiled.sent_deltas
-        stats.bytes_received[ranks] += compiled.received_deltas
-        stats.messages_sent[ranks] += compiled.message_deltas
+        stats.bytes_sent += compiled.sent_deltas
+        stats.bytes_received += compiled.received_deltas
+        stats.messages_sent += compiled.message_deltas
         for channel, (total_bytes, count) in compiled.channel_deltas:
             totals = stats.channels[channel]
             totals.bytes += total_bytes
@@ -410,9 +443,17 @@ class VirtualCluster:
             # Fast path: every node participates and none can raise.
             if self.n_nodes <= 1:
                 return
-            cost = self._charge(self.cost_model.allreduce_time(nbytes, self.n_nodes))
+            if self._noisy:
+                cost = self._charge(self._cost_model.allreduce_time(nbytes, self.n_nodes))
+            else:
+                cost = self._allreduce_costs.get(nbytes)
+                if cost is None:
+                    cost = self._cost_model.allreduce_time(nbytes, self.n_nodes)
+                    self._allreduce_costs[nbytes] = cost
             clocks = self.clocks
-            clocks[:] = clocks.max() + cost
+            # ``clocks[argmax]`` is ``clocks.max()`` at a third of the
+            # dispatch cost on small arrays.
+            clocks.fill(clocks[clocks.argmax()] + cost)
             self.stats.record_collective(nbytes)
             return
         group = tuple(ranks) if ranks is not None else self.alive_ranks()
@@ -549,9 +590,9 @@ class CompiledExchange:
       costs accumulated in the exact per-message order of
       :meth:`VirtualCluster.exchange` (floating-point order matters);
     * ``arrivals`` — ``(dst, (src, ...))`` receiver dependencies;
-    * ``ranks`` / ``sent_deltas`` / ``received_deltas`` /
-      ``message_deltas`` — aligned arrays of exact integer statistics
-      bumps for the involved ranks;
+    * ``sent_deltas`` / ``received_deltas`` / ``message_deltas`` —
+      full-length (one entry per rank) arrays of exact integer
+      statistics bumps, zero for uninvolved ranks;
     * ``channel_deltas`` — ``(channel, (bytes, messages))`` bumps.
     """
 
@@ -561,7 +602,6 @@ class CompiledExchange:
         "sends",
         "arrivals",
         "channel_deltas",
-        "ranks",
         "sent_deltas",
         "received_deltas",
         "message_deltas",
@@ -611,16 +651,15 @@ class CompiledExchange:
 
         self.sends = tuple(send_time.items())
         self.arrivals = tuple((dst, tuple(srcs)) for dst, srcs in arrivals.items())
-        involved = sorted(set(bytes_sent) | set(bytes_received))
-        self.ranks = np.array(involved, dtype=np.intp)
+        ranks = range(cluster.n_nodes)
         self.sent_deltas = np.array(
-            [bytes_sent.get(rank, 0) for rank in involved], dtype=np.int64
+            [bytes_sent.get(rank, 0) for rank in ranks], dtype=np.int64
         )
         self.received_deltas = np.array(
-            [bytes_received.get(rank, 0) for rank in involved], dtype=np.int64
+            [bytes_received.get(rank, 0) for rank in ranks], dtype=np.int64
         )
         self.message_deltas = np.array(
-            [message_counts.get(rank, 0) for rank in involved], dtype=np.int64
+            [message_counts.get(rank, 0) for rank in ranks], dtype=np.int64
         )
         self.channel_deltas = tuple(
             (channel, (totals[0], totals[1])) for channel, totals in channels.items()

@@ -83,7 +83,9 @@ class ClusterStats:
     def record_collective(self, nbytes: int, channel: str = "reduction") -> None:
         self.bytes_sent += int(nbytes)
         self.bytes_received += int(nbytes)
-        self.channels[channel].add(nbytes * self.n_nodes, messages=self.n_nodes)
+        totals = self.channels[channel]
+        totals.bytes += int(nbytes * self.n_nodes)
+        totals.messages += self.n_nodes
 
     def record_local_copy(self, rank: int, nbytes: int) -> None:
         self.local_copy_bytes[rank] += int(nbytes)

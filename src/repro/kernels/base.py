@@ -50,6 +50,13 @@ import numpy as np
 from ..api.registry import KERNELS
 from ..exceptions import ConfigurationError
 
+try:  # pragma: no cover - exercised by every fused matvec on any scipy we support
+    # The in-place CSR matvec kernel scipy's ``csr_matrix @ vector``
+    # itself is built on: ``y += A @ x`` into a caller-owned output.
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:  # pragma: no cover - ancient/exotic scipy builds
+    _csr_matvec = None
+
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..distribution.aspmv import ASpMVExecutor, SupportsPush
     from ..distribution.spmv import SpMVExecutor
@@ -186,6 +193,27 @@ class KernelBackend(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def csr_matvec(matrix, x: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = matrix @ x`` for a CSR ``matrix``, written in place.
+
+    Routing around the ``@`` operator avoids allocating a fresh result
+    array (and the follow-up copy into ``out``) on every call.  It is
+    the same kernel with the same row-major accumulation order, so the
+    result is bit-identical to ``matrix @ x``.  ``out`` must not alias
+    ``x``.
+    """
+    if _csr_matvec is None:  # pragma: no cover - ancient/exotic scipy builds
+        out[:] = matrix @ x
+        return
+    # ``csr_matvec`` accumulates into its output.
+    out[:] = 0.0
+    _csr_matvec(
+        matrix.shape[0], matrix.shape[1],
+        matrix.indptr, matrix.indices, matrix.data,
+        x, out,
+    )
 
 
 #: The backend new clusters use unless told otherwise.

@@ -52,7 +52,8 @@ import numpy as np
 
 from ..api.registry import register_backend
 from ..cluster.cost_model import BYTES_PER_FLOAT
-from .vectorized import VectorizedBackend, _csr_matvec
+from .base import csr_matvec
+from .vectorized import VectorizedBackend
 
 try:  # pragma: no cover - absent in the minimal install
     import numba
@@ -199,14 +200,4 @@ class CompiledBackend(VectorizedBackend):
             return
         cache = executor.plan.flat_cache()
         executor.cluster.charge_compute(cache.local_flops)
-        matrix = cache.fused_matrix()
-        if _csr_matvec is not None:
-            y = out.data
-            y[:] = 0.0
-            _csr_matvec(
-                matrix.shape[0], matrix.shape[1],
-                matrix.indptr, matrix.indices, matrix.data,
-                x.data, y,
-            )
-        else:  # pragma: no cover - ancient/exotic scipy builds
-            out.data[:] = matrix @ x.data
+        csr_matvec(cache.fused_matrix(), x.data, out.data)

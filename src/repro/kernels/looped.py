@@ -45,16 +45,8 @@ class LoopedBackend(KernelBackend):
 
     name = "looped"
 
-    def __init__(self, *, _internal: bool = False) -> None:
-        # ``_internal`` marks construction by the library itself (the
-        # vectorized backend keeps a looped instance as its per-rank
-        # fallback) — only *selecting* looped as the execution backend
-        # is deprecated.
-        if (
-            not _internal
-            and not _under_test()
-            and os.environ.get(ALLOW_LOOPED_ENV) != "1"
-        ):
+    def __init__(self) -> None:
+        if not _under_test() and os.environ.get(ALLOW_LOOPED_ENV) != "1":
             warnings.warn(
                 "the 'looped' kernel backend is deprecated for production "
                 "use (the 'vectorized' default is bit-identical and "

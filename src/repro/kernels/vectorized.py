@@ -34,26 +34,7 @@ import numpy as np
 
 from ..api.registry import register_backend
 from ..cluster.cost_model import BYTES_PER_FLOAT
-from .base import KernelBackend
-from .looped import LoopedBackend
-
-try:  # pragma: no cover - exercised via spmv_local on any scipy we support
-    # The in-place CSR matvec kernel scipy's ``csr_matrix @ vector``
-    # itself is built on: ``y += A @ x`` into a caller-owned output.
-    # Routing around the operator avoids allocating a fresh result
-    # array (and the follow-up copy into ``out.data``) every
-    # iteration — at >= 32k unknowns the stacked matvec is
-    # memory-bound and that dead traffic is measurable.  Same kernel,
-    # same row-major accumulation order, bit-identical results
-    # (enforced by tests/properties/test_backend_equivalence.py).
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:  # pragma: no cover - ancient/exotic scipy builds
-    _csr_matvec = None
-
-#: Shared per-rank fallback (identical code path to the looped backend;
-#: internal construction — the deprecation covers *selecting* looped).
-_LOOPED = LoopedBackend(_internal=True)
-
+from .base import KernelBackend, csr_matvec
 
 @register_backend("vectorized", aliases=("fused", "flat"))
 class VectorizedBackend(KernelBackend):
@@ -133,20 +114,7 @@ class VectorizedBackend(KernelBackend):
         # only the owned block still needs copying.
         buf = executor._spmv_input
         buf[: x.data.size] = x.data
-        matrix = cache.stacked_matrix
-        if _csr_matvec is not None:
-            # ``csr_matvec`` accumulates into its output, so the
-            # preallocated target (the result vector's own flat
-            # storage) is zeroed rather than reallocated per call.
-            y = out.data
-            y[:] = 0.0
-            _csr_matvec(
-                matrix.shape[0], matrix.shape[1],
-                matrix.indptr, matrix.indices, matrix.data,
-                buf, y,
-            )
-        else:
-            out.data[:] = matrix @ buf
+        csr_matvec(cache.stacked_matrix, buf, out.data)
 
     def aspmv(self, executor, x, iteration, queue, out) -> None:
         cluster = executor.cluster
@@ -186,11 +154,9 @@ class VectorizedBackend(KernelBackend):
     # -------------------------------------------------------- preconditioners
 
     def precond_apply(self, precond, r, out) -> None:
-        flat = precond.flat_apply(r.data)
-        if flat is None:
-            # Operators without a fused form (e.g. per-block triangular
-            # solves) run the identical per-rank reference path.
-            _LOOPED.precond_apply(precond, r, out)
-            return
         r.cluster.charge_compute(precond.charge_profile())
-        out.data[:] = flat
+        if not precond.flat_apply(r.data, out.data):
+            # Operators without a fused form (e.g. per-block triangular
+            # solves) run the per-rank reference action, billed above.
+            for rank, block in enumerate(r.blocks):
+                out.blocks[rank][:] = precond._apply_local(rank, block)

@@ -124,16 +124,18 @@ class BlockDiagonalPreconditioner(Preconditioner):
         """
         self.matrix.cluster.kernels.precond_apply(self, r, out)
 
-    def flat_apply(self, values: np.ndarray) -> np.ndarray | None:
-        """Fused ``P @ values`` on the full flat vector, or ``None``.
+    def flat_apply(self, values: np.ndarray, out: np.ndarray) -> bool:
+        """Fused ``out[:] = P @ values`` on the full flat vector.
 
         Subclasses whose action is expressible as one fused operation
         (a stacked block-diagonal matvec, a diagonal scale) override
-        this; the result must be bit-identical to concatenating the
-        per-rank :meth:`_apply_local` outputs.  Returning ``None``
+        this, write into ``out`` in place and return ``True``; the
+        result must be bit-identical to concatenating the per-rank
+        :meth:`_apply_local` outputs.  ``out`` never aliases
+        ``values``.  Returning ``False`` (without touching ``out``)
         makes every backend use the per-rank reference path.
         """
-        return None
+        return False
 
     def charge_profile(self) -> tuple[tuple[int, float], ...]:
         """Cached ``(rank, flops)`` bill of one application (rank ascending)."""

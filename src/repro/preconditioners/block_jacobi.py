@@ -25,6 +25,7 @@ import scipy.sparse as sp
 
 from ..distribution.matrix import DistributedMatrix
 from ..exceptions import ConfigurationError
+from ..kernels.base import csr_matvec
 from .base import BlockDiagonalPreconditioner
 
 
@@ -93,13 +94,14 @@ class BlockJacobiPreconditioner(BlockDiagonalPreconditioner):
     def _apply_local(self, rank: int, values: np.ndarray) -> np.ndarray:
         return self._forward[rank] @ values
 
-    def flat_apply(self, values: np.ndarray) -> np.ndarray:
+    def flat_apply(self, values: np.ndarray, out: np.ndarray) -> bool:
         # One stacked block-diagonal matvec over all nodes.  Row entries
         # stay in ascending column order, as in the per-rank operators,
         # so the row sums are bit-identical to _apply_local.
         if self._stacked is None:
             self._stacked = sp.block_diag(self._forward, format="csr")
-        return self._stacked @ values
+        csr_matvec(self._stacked, values, out)
+        return True
 
     def _apply_inverse_local(self, rank: int, values: np.ndarray) -> np.ndarray:
         return self._backward[rank] @ values

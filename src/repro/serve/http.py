@@ -41,6 +41,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # A reply leaves as two writes (headers, then body).  On a
+    # persistent connection Nagle's algorithm would hold the body back
+    # until the client's delayed ACK of the headers, about 40 ms later.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> SolverService:

@@ -192,6 +192,17 @@ class TestConstruction:
 
         assert isinstance(VirtualCluster(4).topology, FatTree)
 
+    def test_cost_model_and_topology_are_read_only(self):
+        # Compiled bills and exchanges are only valid for the model and
+        # topology they were built under.
+        from repro.cluster.topology import Ring
+
+        cluster = VirtualCluster(4)
+        with pytest.raises(AttributeError):
+            cluster.cost_model = CostModel(noise=0.5)
+        with pytest.raises(AttributeError):
+            cluster.topology = Ring(4)
+
     def test_noise_reproducible_across_same_seed(self):
         model = CostModel(alpha=1e-6, beta=1e-9, gamma=1e-9, noise=0.1)
         times = []

@@ -339,8 +339,8 @@ def test_flat_apply_matches_blockwise_apply():
     for name in ("identity", "jacobi", "block_jacobi"):
         precond = make_preconditioner(name)
         precond.setup(dmatrix)
-        flat = precond.flat_apply(values)
-        assert flat is not None
+        flat = np.full(partition.n, np.nan)
+        assert precond.flat_apply(values, flat) is True
         blockwise = np.concatenate(
             [
                 precond._apply_local(
@@ -358,7 +358,9 @@ def test_triangular_preconditioners_have_no_flat_path():
     for name in ("block_ssor", "block_ichol"):
         precond = make_preconditioner(name)
         precond.setup(dmatrix)
-        assert precond.flat_apply(np.zeros(partition.n)) is None
+        out = np.full(partition.n, np.nan)
+        assert precond.flat_apply(np.zeros(partition.n), out) is False
+        assert np.isnan(out).all()  # untouched
 
 
 def test_stacked_spmv_cache_shape_and_reuse():

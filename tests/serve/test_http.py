@@ -5,6 +5,10 @@ the same ``urllib`` client the load driver uses — no mocks, so these
 pin the actual wire contract ``repro serve`` exposes.
 """
 
+import http.client
+import json
+import time
+
 import pytest
 
 from repro.api import SolveRequest
@@ -52,6 +56,26 @@ class TestRoutes:
         assert status == 400
         assert body["error"]["type"] == "ConfigurationError"
         assert "no such route" in body["error"]["message"]
+
+
+class TestKeepAlive:
+    def test_persistent_connection_replies_without_stalling(self, server):
+        # Headers and body sent as two small segments on a persistent
+        # connection meet Nagle's algorithm on the server and a delayed
+        # ACK on the client: each reply then stalls about 40 ms.
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
 
 
 class TestErrorMapping:
