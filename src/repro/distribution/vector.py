@@ -185,10 +185,12 @@ class DistributedVector:
         """Several dot products fused into a single allreduce.
 
         PCG needs ``r·z`` and ``‖r‖²`` in the same iteration; real codes
-        fuse them into one 16-byte allreduce, and so do we.  Partial
-        sums accumulate per node block in ascending rank order — that
-        order is part of the backend contract (every kernel backend
-        reproduces it bit for bit).
+        fuse them into one 16-byte allreduce, and so do we.  Each
+        product is :func:`~repro.kernels.base.canonical_dot` of the flat
+        vectors (fixed-size chunks summed in ascending order), so it
+        depends on neither the partition nor the BLAS thread count —
+        that order is part of the backend contract (every kernel
+        backend reproduces it bit for bit).
         """
         for other in others:
             self._check_compatible(other)

@@ -12,10 +12,12 @@ The separation contract (what every backend must honour):
   bit-identical to the ``looped`` reference backend.  In practice this
   means: elementwise vector updates may be fused freely (the rounding
   of ``y[i] += a * x[i]`` does not depend on how the loop is batched),
-  but *reductions must keep the reference accumulation order* (one
-  partial dot per node block, accumulated in ascending rank order) and
-  sparse matvecs must keep the per-row summation order of the per-node
-  local matrices.
+  but *every dot product goes through* :func:`canonical_dot` — BLAS
+  dots over fixed :data:`REDUCTION_CHUNK`-entry chunks of the flat
+  vector, summed in ascending chunk order, so the result depends on
+  neither the node partition nor the BLAS thread count — and sparse
+  matvecs must keep the per-row summation order of the per-node local
+  matrices.
 * **Accounting equivalence** — every backend must issue the *same
   sequence* of cluster charges (``compute``/``memcpy``/``exchange``/
   ``allreduce``) with the same arguments as the reference backend.
@@ -105,9 +107,9 @@ class KernelBackend(abc.ABC):
     ) -> list[float]:
         """Fused dot products ``[x·o for o in others]`` + one allreduce.
 
-        The partial sums MUST be accumulated per node block in ascending
-        rank order — that accumulation order is part of the numerical
-        contract between backends.
+        Each product MUST be :func:`canonical_dot` of the flat vectors —
+        that accumulation order is part of the numerical contract
+        between backends.
         """
 
     # ----------------------------------------------------------------- SpMV
@@ -179,9 +181,9 @@ class KernelBackend(abc.ABC):
         exact historical operation sequence of the solver engine.
         Backends may override it with fused single-pass kernels as long
         as both sides of the contract hold: bit-identical numerics
-        (elementwise fusion free, reductions in reference block order)
-        and the identical charge sequence (axpy, axpy, preconditioner,
-        dot+allreduce, aypx).
+        (elementwise fusion free, reductions through
+        :func:`canonical_dot`) and the identical charge sequence (axpy,
+        axpy, preconditioner, dot+allreduce, aypx).
         """
         x.axpy(alpha, p)
         r.axpy(-alpha, rho)
@@ -193,6 +195,31 @@ class KernelBackend(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+#: Entries per BLAS call in :func:`canonical_dot`.  OpenBLAS splits a
+#: ``ddot`` over more than 10,000 entries across its threads, and the
+#: rounding then depends on ``OPENBLAS_NUM_THREADS``; a chunk of 8192
+#: entries always runs on one thread.
+REDUCTION_CHUNK = 8192
+
+
+def canonical_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """The canonical reduction ``x · y`` of two flat vectors.
+
+    BLAS dots over consecutive :data:`REDUCTION_CHUNK`-entry chunks,
+    summed in ascending chunk order.  The chunks are fixed by the flat
+    vector alone, so the result is the same for every node partition,
+    every backend and every BLAS thread count.
+    """
+    n = x.size
+    if n <= REDUCTION_CHUNK:
+        return float(x @ y)
+    total = float(x[:REDUCTION_CHUNK] @ y[:REDUCTION_CHUNK])
+    for start in range(REDUCTION_CHUNK, n, REDUCTION_CHUNK):
+        stop = start + REDUCTION_CHUNK
+        total += float(x[start:stop] @ y[start:stop])
+    return total
 
 
 def csr_matvec(matrix, x: np.ndarray, out: np.ndarray) -> None:

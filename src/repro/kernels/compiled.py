@@ -11,10 +11,9 @@ contract of :mod:`repro.kernels.base`:
 * the per-iteration PCG tail (:meth:`CompiledBackend.cg_update`) runs
   the two vector updates as one fused double-axpy sweep (``x`` and
   ``r`` updated in a single pass), applies the preconditioner, then
-  computes both reductions (``r.z``, ``r.r``) in one sweep over the
-  node blocks **using the reference accumulation order** — one
-  ``block @ other`` partial per block, ascending rank — before the
-  single allreduce;
+  computes both reductions (``r.z``, ``r.r``) with the canonical
+  reduction :func:`~repro.kernels.base.canonical_dot` before the single
+  allreduce;
 * the SpMV multiplies a precompiled *ghost-free* operator
   (:meth:`~repro.distribution.comm_plan.FlatPlanCache.fused_matrix`)
   directly against the flat input vector: the stacked operator's ghost
@@ -36,7 +35,7 @@ flags apply no fast-math transformations — in particular no FMA
 contraction — so the fused loops round exactly like the numpy
 expressions they replace.  Reductions are *never* JIT-compiled: a
 scalar-accumulator loop would change the partial-sum structure of the
-BLAS ``block @ other`` products that define the reference result.
+chunked BLAS products that define the canonical result.
 
 Without numba the backend degrades gracefully to a hand-fused numpy
 path (scratch-buffer axpys that avoid per-iteration temporaries, same
@@ -52,7 +51,7 @@ import numpy as np
 
 from ..api.registry import register_backend
 from ..cluster.cost_model import BYTES_PER_FLOAT
-from .base import csr_matvec
+from .base import canonical_dot, csr_matvec
 from .vectorized import VectorizedBackend
 
 try:  # pragma: no cover - absent in the minimal install
@@ -111,7 +110,7 @@ if HAVE_NUMBA:  # pragma: no cover - requires the [compiled] extra
 
 @register_backend("compiled", aliases=("jit", "numba"))
 class CompiledBackend(VectorizedBackend):
-    """Fused-chain execution; JIT elementwise sweeps, reference reductions."""
+    """Fused-chain execution; JIT elementwise sweeps, canonical reductions."""
 
     name = "compiled"
 
@@ -167,17 +166,10 @@ class CompiledBackend(VectorizedBackend):
 
         preconditioner.apply(r, z)
 
-        # Fused reduction pair: each r-block is loaded once and feeds
-        # both partials.  Accumulation stays in the reference order —
-        # one BLAS ``block @ other`` partial per node block, ascending
-        # rank — because that order *is* the cross-backend contract;
-        # a JIT scalar loop would round differently.
-        rz_new = 0.0
-        r_norm_sq = 0.0
-        z_blocks = z.blocks
-        for rank, r_block in enumerate(r.blocks):
-            rz_new += float(r_block @ z_blocks[rank])
-            r_norm_sq += float(r_block @ r_block)
+        # The canonical reduction *is* the cross-backend contract; a
+        # JIT scalar loop would round differently.
+        rz_new = canonical_dot(r.data, z.data)
+        r_norm_sq = canonical_dot(r.data, r.data)
         cluster.charge_compute(x.partition.charge_profile(4))
         cluster.allreduce(2 * BYTES_PER_FLOAT)
 

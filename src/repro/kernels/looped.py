@@ -19,7 +19,7 @@ import numpy as np
 
 from ..api.registry import register_backend
 from ..cluster.cost_model import BYTES_PER_FLOAT
-from .base import KernelBackend
+from .base import KernelBackend, canonical_dot
 
 #: Exporting this acknowledges the deprecation and silences the
 #: warning for deliberate production use of the reference backend.
@@ -94,15 +94,11 @@ class LoopedBackend(KernelBackend):
 
     def dot_many(self, x, others: Sequence) -> list[float]:
         cluster = x.cluster
-        partials = np.zeros(len(others), dtype=np.float64)
+        values = [canonical_dot(x.data, other.data) for other in others]
         for rank in range(x.partition.n_nodes):
-            flops = 0
-            for k, other in enumerate(others):
-                partials[k] += float(x.blocks[rank] @ other.blocks[rank])
-                flops += 2 * x.blocks[rank].size
-            cluster.compute(rank, flops)
+            cluster.compute(rank, 2 * len(others) * x.blocks[rank].size)
         cluster.allreduce(len(others) * BYTES_PER_FLOAT)
-        return [float(v) for v in partials]
+        return values
 
     # ----------------------------------------------------------------- SpMV
 

@@ -12,10 +12,9 @@ block views, so:
 * the per-node row-block products run as one stacked CSR matvec against
   ``[x_flat | ghost_flat]`` (per-row data order preserved → identical
   row sums);
-* dot products keep the *reference accumulation order* (one partial dot
-  per contiguous block view, accumulated in ascending rank order) —
-  fusing the reduction across block boundaries would change the
-  floating-point result, so only the billing is batched here;
+* dot products run :func:`~repro.kernels.base.canonical_dot` on the
+  flat vectors — fixed-size chunks, not node blocks, so one BLAS call
+  per product at small n;
 * all per-rank bills are declared analytically — precomputed
   ``(rank, amount)`` profiles handed to the batched
   :meth:`~repro.cluster.communicator.VirtualCluster.charge` API in the
@@ -34,7 +33,7 @@ import numpy as np
 
 from ..api.registry import register_backend
 from ..cluster.cost_model import BYTES_PER_FLOAT
-from .base import KernelBackend, csr_matvec
+from .base import KernelBackend, canonical_dot, csr_matvec
 
 @register_backend("vectorized", aliases=("fused", "flat"))
 class VectorizedBackend(KernelBackend):
@@ -77,26 +76,10 @@ class VectorizedBackend(KernelBackend):
 
     def dot_many(self, x, others: Sequence) -> list[float]:
         cluster = x.cluster
-        x_blocks = x.blocks
-        # Reference accumulation order: per block view, rank ascending,
-        # using the same ``block @ block`` inner product as the looped
-        # backend.  (A whole-array dot would change the partial-sum
-        # structure and with it the low-order bits — see the contract.)
-        if len(others) == 1:
-            o_blocks = others[0].blocks
-            total = 0.0
-            for block, other in zip(x_blocks, o_blocks):
-                total += float(block @ other)
-            partials = [total]
-        else:
-            partials = [0.0] * len(others)
-            blocks_per_k = [other.blocks for other in others]
-            for rank, block in enumerate(x_blocks):
-                for k, o_blocks in enumerate(blocks_per_k):
-                    partials[k] += float(block @ o_blocks[rank])
+        values = [canonical_dot(x.data, other.data) for other in others]
         cluster.charge_compute(x.partition.charge_profile(2 * len(others)))
         cluster.allreduce(len(others) * BYTES_PER_FLOAT)
-        return partials
+        return values
 
     # ----------------------------------------------------------------- SpMV
 
