@@ -72,7 +72,7 @@ class VirtualCluster:
         self._registered_vectors: list[weakref.ReferenceType] = []
         #: Number of currently failed nodes (fast-path guard).
         self._dead_count = 0
-        #: Compiled (ranks, amounts, seconds) per charge profile.
+        #: Compiled full-length (amounts, seconds) per charge profile.
         self._compiled_charges: dict[tuple, tuple] = {}
         self._compiled_memcpys: dict[tuple, tuple] = {}
         #: Noise-free all-node allreduce cost per payload size.
@@ -319,25 +319,20 @@ class VirtualCluster:
         :meth:`~repro.distribution.partition.BlockRowPartition.charge_profile`).
 
         Equivalent to ``charge(compute=profile)``; repeated bills are
-        compiled once per profile into fused numpy updates (whole-array
-        adds when the profile covers every rank in order).  Falls back
-        to the per-item loop under cost noise (RNG draw order) or with
-        failed nodes present (liveness errors).
+        compiled once per profile into two whole-array adds.  Falls
+        back to the per-item loop under cost noise (RNG draw order) or
+        with failed nodes present (liveness errors).
         """
         if self._noisy or self._dead_count:
             self.charge(compute=profile)
             return
         entry = self._compiled_charges.get(profile)
         if entry is None:
-            entry = self._compile_profile(profile, self._cost_model.gamma)
+            entry = self._compile_profile(profile, self._cost_model.gamma, np.float64)
             self._compiled_charges[profile] = entry
-        ranks, amounts, seconds = entry
-        if ranks is None:
-            self.clocks += seconds
-            self.stats.flops += amounts
-        else:
-            self.clocks[ranks] += seconds
-            self.stats.flops[ranks] += amounts
+        amounts, seconds = entry
+        self.clocks += seconds
+        self.stats.flops += amounts
 
     def charge_memcpy(self, profile: tuple[tuple[int, float], ...]) -> None:
         """Apply a fixed memcpy bill (``(rank, nbytes)`` pairs).
@@ -351,28 +346,24 @@ class VirtualCluster:
         if entry is None:
             entry = self._compile_profile(profile, self._cost_model.mu, np.int64)
             self._compiled_memcpys[profile] = entry
-        ranks, amounts, seconds = entry
-        if ranks is None:
-            self.clocks += seconds
-            self.stats.local_copy_bytes += amounts
-        else:
-            self.clocks[ranks] += seconds
-            self.stats.local_copy_bytes[ranks] += amounts
+        amounts, seconds = entry
+        self.clocks += seconds
+        self.stats.local_copy_bytes += amounts
 
     def _compile_profile(
-        self, profile: tuple[tuple[int, float], ...], rate: float, dtype=np.float64
-    ) -> tuple:
-        """``(ranks, amounts, seconds)`` of one noise-free bill.
+        self, profile: tuple[tuple[int, float], ...], rate: float, dtype
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Full-length ``(amounts, seconds)`` arrays of a noise-free bill.
 
-        ``ranks`` is ``None`` when the profile lists every rank in
-        ascending order, so the bill applies as whole-array adds.
+        Ranks absent from the profile get zeros: adding ``0.0`` leaves
+        the non-negative clocks and totals bit for bit unchanged.
         """
-        ranks = [rank for rank, _ in profile]
-        amounts = np.array([amount for _, amount in profile], dtype=dtype)
-        seconds = np.array([amount * rate for _, amount in profile], dtype=np.float64)
-        if ranks == list(range(self.n_nodes)):
-            return None, amounts, seconds
-        return np.array(ranks, dtype=np.intp), amounts, seconds
+        amounts = np.zeros(self.n_nodes, dtype=dtype)
+        seconds = np.zeros(self.n_nodes, dtype=np.float64)
+        for rank, amount in profile:
+            amounts[rank] = amount
+            seconds[rank] = amount * rate
+        return amounts, seconds
 
     def compile_exchange(
         self,

@@ -35,6 +35,7 @@ from ..api.registry import register_backend
 from ..cluster.cost_model import BYTES_PER_FLOAT
 from .base import KernelBackend, canonical_dot, csr_matvec
 
+
 @register_backend("vectorized", aliases=("fused", "flat"))
 class VectorizedBackend(KernelBackend):
     """Fused flat-array execution with analytically declared billing."""

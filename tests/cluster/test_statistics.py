@@ -23,7 +23,9 @@ class TestChannels:
         stats = ClusterStats(3)
         stats.record_collective(8)
         assert list(stats.bytes_sent) == [8, 8, 8]
+        assert list(stats.bytes_received) == [8, 8, 8]
         assert stats.channels["reduction"].bytes == 24
+        assert stats.channels["reduction"].messages == 3
 
     def test_total_bytes_by_channel(self):
         stats = ClusterStats(2)
