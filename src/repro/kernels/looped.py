@@ -3,10 +3,13 @@
 This is the original execution model of the library, kept as the
 verification baseline: every operation loops over the node blocks and
 interleaves the numeric work with the per-rank cluster charges, exactly
-as a rank-per-process implementation would behave.  The ``vectorized``
-backend is required to reproduce this backend's results and accounting
-bit for bit (see :mod:`repro.kernels.base` for the contract and
-``tests/properties/test_backend_equivalence.py`` for the enforcement).
+as a rank-per-process implementation would behave.  Dot products are
+the exception: their numerics are the partition-independent canonical
+reduction (:func:`~repro.kernels.base.canonical_dot`), billed per rank.
+The ``vectorized`` backend is required to reproduce this backend's
+results and accounting bit for bit (see :mod:`repro.kernels.base` for
+the contract and ``tests/properties/test_backend_equivalence.py`` for
+the enforcement).
 """
 
 from __future__ import annotations
