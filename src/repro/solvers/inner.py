@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..exceptions import ConfigurationError, ConvergenceError
-from ..preconditioners.block_jacobi import split_into_blocks
+from ..preconditioners.block_jacobi import BlockFailure, DiagonalBlocks, split_into_blocks
 
 #: The paper's convergence requirement for reconstruction systems.
 INNER_RTOL = 1e-14
@@ -44,18 +44,26 @@ def serial_block_jacobi(
     Returns ``(apply, flops_per_application)`` where ``apply(v)``
     multiplies by the block-diagonal inverse.  Used for the inner
     reconstruction systems, mirroring the outer preconditioner setup.
+
+    The operator comes from the outer preconditioner's builder,
+    :class:`~repro.preconditioners.block_jacobi.DiagonalBlocks`: each
+    block is inverted by ``np.linalg.inv`` (all blocks of one size in
+    one stacked call, the same LAPACK ``gesv`` per block) and stored
+    dense, exact zeros included, so the bill ``2·nnz`` is
+    ``2·Σ k²`` over the block sizes ``k``.
     """
     n = matrix.shape[0]
     if n == 0:
         return (lambda v: v), 0.0
-    dense_blocks: list[np.ndarray] = []
-    for lo, hi in split_into_blocks(n, max_block_size):
-        block = matrix[lo:hi, lo:hi].toarray()
-        try:
-            dense_blocks.append(np.linalg.inv(block))
-        except np.linalg.LinAlgError as exc:
-            raise ConfigurationError(f"inner block [{lo},{hi}) is singular: {exc}") from exc
-    operator = sp.block_diag(dense_blocks, format="csr")
+    blocks = DiagonalBlocks(
+        sp.csr_matrix(matrix), [hi - lo for lo, hi in split_into_blocks(n, max_block_size)]
+    )
+    try:
+        operator = blocks.operator(blocks.inverse())
+    except BlockFailure as exc:
+        lo = int(blocks.starts[exc.block])
+        hi = lo + int(blocks.sizes[exc.block])
+        raise ConfigurationError(f"inner block [{lo},{hi}) is singular: {exc}") from exc
 
     def apply(v: np.ndarray) -> np.ndarray:
         return operator @ v
