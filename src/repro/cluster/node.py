@@ -62,6 +62,24 @@ class NodeState:
             np.asarray(values, dtype=np.float64),
         )
 
+    def stash_holding(
+        self, iteration: int, holding: dict[int, tuple[np.ndarray, np.ndarray]]
+    ) -> None:
+        """Store everything this node holds for ``iteration`` at once.
+
+        ``holding`` maps owner rank to ``(int64 global indices, float64
+        values)`` and is kept as given.  The result equals one
+        :meth:`stash_redundant` call per owner in ``holding``'s order;
+        a holding that meets earlier stashes for the same iteration is
+        merged exactly that way.
+        """
+        iteration = int(iteration)
+        if iteration not in self.redundancy:
+            self.redundancy[iteration] = holding
+            return
+        for owner, (indices, values) in holding.items():
+            self.stash_redundant(iteration, owner, indices, values)
+
     def drop_redundant(self, iteration: int) -> None:
         """Release the redundant copy for ``iteration`` (queue eviction)."""
         self.redundancy.pop(int(iteration), None)

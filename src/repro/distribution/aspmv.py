@@ -278,69 +278,58 @@ class RedundancyPlan:
 class FlatRedundancyCache:
     """Index and message caches for the fused augmented product.
 
-    Mirrors the traversal order of the per-rank reference loop exactly
-    — for each source rank in ascending order: the non-empty natural
-    send descriptors, then the extra redundancy transfers — so that the
-    fused execution stashes the same pieces, charges the same message
-    phase and fills the same ghost entries, bit for bit.
+    The per-rank reference loop visits each source rank in ascending
+    order — its non-empty natural send descriptors, then its extra
+    redundancy transfers — sending one message and stashing one piece
+    per step.  Three caches are derived from that traversal:
 
-    * ``stash_gather`` — global indices whose single fused gather
-      ``packed = x_flat[stash_gather]`` yields every communicated piece
-      back to back;
-    * ``pieces`` — ``(dst, src, start, stop, global_indices)`` views
-      into ``packed``, one per stash the reference loop performs;
     * ``messages`` / ``merged`` — the exchange's message and piggyback
-      payload lists (natural halo entries on the halo channel, extras
-      on the redundancy channel).
+      payload lists in exactly the reference order (natural halo
+      entries on the halo channel, extras on the redundancy channel),
+      so the phase is charged bit for bit as the loop charges it;
+    * ``stash_gather`` — global indices whose single fused gather
+      ``packed = x_flat[stash_gather]`` yields every stashed piece,
+      ordered by (holder, owner) and, within a pair, as the reference
+      stashes them (the natural piece, then the extras);
+    * ``holdings`` — ``(holder, ((owner, indices, start, stop), ...))``
+      for every holder in ascending rank order: the holder's stash for
+      one iteration is ``{owner: (indices, packed[start:stop])}`` with
+      owners ascending.  ``indices`` is the concatenation of the
+      pair's pieces' global indices, and ``packed[start:stop]`` their
+      values in the same order — the arrays the reference loop's
+      piece-by-piece concatenating stashes end up holding.
     """
 
     def __init__(self, redundancy: "RedundancyPlan"):
         plan = redundancy.plan
-        gather_parts: list[np.ndarray] = []
-        pieces: list[tuple[int, int, int, int, np.ndarray]] = []
+        held: dict[tuple[int, int], list[np.ndarray]] = {}
         messages: list[tuple[int, int, int, str, bool]] = []
         merged: list[tuple[int, int, int, str]] = []
-        offset = 0
         for src in range(plan.n_nodes):
             for descriptor in plan.sends[src]:
                 if descriptor.count == 0:
                     continue
-                nbytes = descriptor.count * 8
-                messages.append((src, descriptor.dst, nbytes, HALO_CHANNEL, False))
-                gather_parts.append(descriptor.global_indices)
-                pieces.append(
-                    (
-                        descriptor.dst,
-                        src,
-                        offset,
-                        offset + descriptor.count,
-                        descriptor.global_indices,
-                    )
-                )
-                offset += descriptor.count
+                messages.append((src, descriptor.dst, descriptor.count * 8, HALO_CHANNEL, False))
+                held.setdefault((descriptor.dst, src), []).append(descriptor.global_indices)
             for transfer in redundancy.extras[src]:
                 nbytes = transfer.count * 8
                 if transfer.piggyback:
                     merged.append((src, transfer.dst, nbytes, EXTRA_CHANNEL))
                 else:
                     messages.append((src, transfer.dst, nbytes, EXTRA_CHANNEL, False))
-                gather_parts.append(transfer.global_indices)
-                pieces.append(
-                    (
-                        transfer.dst,
-                        src,
-                        offset,
-                        offset + transfer.count,
-                        transfer.global_indices,
-                    )
-                )
-                offset += transfer.count
+                held.setdefault((transfer.dst, src), []).append(transfer.global_indices)
+        gather_parts: list[np.ndarray] = []
+        holdings: dict[int, list[tuple[int, np.ndarray, int, int]]] = {}
+        offset = 0
+        for (dst, src), parts in sorted(held.items()):
+            indices = np.concatenate(parts, dtype=np.int64)
+            gather_parts.append(indices)
+            holdings.setdefault(dst, []).append((src, indices, offset, offset + indices.size))
+            offset += indices.size
         self.stash_gather = (
-            np.concatenate(gather_parts).astype(np.int64)
-            if gather_parts
-            else np.empty(0, dtype=np.int64)
+            np.concatenate(gather_parts) if gather_parts else np.empty(0, dtype=np.int64)
         )
-        self.pieces = tuple(pieces)
+        self.holdings = tuple((dst, tuple(owners)) for dst, owners in holdings.items())
         self.messages = tuple(messages)
         self.merged = tuple(merged)
         #: CompiledExchange for (messages, merged); built lazily by the
@@ -371,10 +360,17 @@ class ASpMVExecutor(SpMVExecutor):
         destinations: str = "eq1",
     ):
         super().__init__(matrix)
-        topology = matrix.cluster.topology if destinations == "switch_aware" else None
-        self.redundancy = RedundancyPlan(
-            matrix.plan, phi, rule=rule, destinations=destinations, topology=topology
-        )
+        # One plan per (phi, rule, destinations) and matrix plan: every
+        # ESR/ESRP solve on a session reuses it, flat caches included.
+        key = (int(phi), rule, destinations)
+        redundancy = matrix.plan._redundancy_plans.get(key)
+        if redundancy is None:
+            topology = matrix.cluster.topology if destinations == "switch_aware" else None
+            redundancy = RedundancyPlan(
+                matrix.plan, phi, rule=rule, destinations=destinations, topology=topology
+            )
+            matrix.plan._redundancy_plans[key] = redundancy
+        self.redundancy = redundancy
 
     @property
     def phi(self) -> int:

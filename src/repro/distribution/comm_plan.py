@@ -124,6 +124,9 @@ class SpMVPlan:
         #: a plan lives inside one DistributedMatrix, which binds it to
         #: exactly one cluster).
         self._compiled_exchanges: dict[str, object] = {}
+        #: (phi, rule, destinations) -> RedundancyPlan, with its fused
+        #: caches and compiled exchange (same binding as above).
+        self._redundancy_plans: dict[tuple[int, str, str], object] = {}
 
     # ------------------------------------------------------------------ queries
 

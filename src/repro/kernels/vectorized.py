@@ -111,13 +111,15 @@ class VectorizedBackend(KernelBackend):
             if node.alive:
                 node.drop_redundant(iteration)
 
-        # One fused gather materialises every communicated piece; the
-        # stashes are views into it (the reference loop stashes exactly
-        # these values, piece by piece, in the same order).
+        # One fused gather materialises every communicated piece, grouped
+        # by (holder, owner); each holder's stash is one dict of views
+        # into it (the values the reference loop stashes piece by piece).
         packed = x.data[cache.stash_gather]
-        for dst, src, start, stop, global_indices in cache.pieces:
-            cluster.node(dst).stash_redundant(
-                iteration, src, global_indices, packed[start:stop]
+        nodes = cluster.nodes
+        for dst, owners in cache.holdings:
+            nodes[dst].stash_holding(
+                iteration,
+                {src: (indices, packed[start:stop]) for src, indices, start, stop in owners},
             )
         compiled = cache.compiled
         if compiled is None:
