@@ -35,8 +35,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import pathlib
+import platform
 import sys
 
 DEFAULT_OUT = (
@@ -129,6 +132,20 @@ def check_determinism(spec, rows: list[dict], workers: int) -> dict:
     return {"checked": True, "passed": identical}
 
 
+def host() -> dict:
+    """The recording host: cores, interpreter and numeric stack."""
+    import numpy
+    import scipy
+
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "numba": importlib.util.find_spec("numba") is not None,
+    }
+
+
 def _fmt_row(row: dict) -> str:
     def num(value):
         return f"{100 * value:7.2f}" if value is not None else "      -"
@@ -180,6 +197,7 @@ def main(argv=None) -> int:
 
     payload = {
         "benchmark": "pv verification-interval ablation",
+        "host": host(),
         "problem": f"poisson3d ({args.scale})",
         "intervals": list(intervals),
         "sdc_probability": SDC_PROBABILITY,

@@ -199,17 +199,16 @@ class BlockJacobiPreconditioner(BlockDiagonalPreconditioner):
     def _setup_impl(self, matrix: DistributedMatrix) -> None:
         partition = matrix.partition
         bounds = [partition.bounds(rank) for rank in range(partition.n_nodes)]
-        local_blocks = [self.block_bounds(rank) for rank in range(partition.n_nodes)]
         blocks = DiagonalBlocks(
             matrix.global_csr,
-            [hi - lo for local in local_blocks for lo, hi in local],
+            [hi - lo for rank in range(partition.n_nodes) for lo, hi in self.block_bounds(rank)],
         )
         try:
             inverse = blocks.cholesky_inverse()
         except BlockFailure as exc:
-            ends = np.cumsum([len(local) for local in local_blocks])
-            rank = int(np.searchsorted(ends, exc.block, side="right"))
-            lo = int(blocks.starts[exc.block]) - bounds[rank][0]
+            start = int(blocks.starts[exc.block])
+            rank = partition.owner(start)
+            lo = start - bounds[rank][0]
             hi = lo + int(blocks.sizes[exc.block])
             raise ConfigurationError(
                 f"diagonal block of rank {rank} rows [{lo},{hi}) is not SPD: {exc}"

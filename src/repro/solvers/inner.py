@@ -9,6 +9,12 @@ The inner system is small (ψ node blocks) and lives entirely on the
 replacement group, so this solver is a plain sequential PCG on numpy
 arrays; the caller charges its cost to the replacement nodes' clocks
 using the returned iteration/flop counts.
+
+Its block-Jacobi operator comes from the same builder as the outer
+preconditioner (:class:`~repro.preconditioners.block_jacobi.DiagonalBlocks`)
+under the same nnz contract: every block is stored dense, exact zeros
+included, so one application is billed ``2·Σ k²`` flops over the block
+sizes ``k`` whatever the installed scipy does with explicit zeros.
 """
 
 from __future__ import annotations
@@ -45,12 +51,10 @@ def serial_block_jacobi(
     multiplies by the block-diagonal inverse.  Used for the inner
     reconstruction systems, mirroring the outer preconditioner setup.
 
-    The operator comes from the outer preconditioner's builder,
-    :class:`~repro.preconditioners.block_jacobi.DiagonalBlocks`: each
-    block is inverted by ``np.linalg.inv`` (all blocks of one size in
-    one stacked call, the same LAPACK ``gesv`` per block) and stored
-    dense, exact zeros included, so the bill ``2·nnz`` is
-    ``2·Σ k²`` over the block sizes ``k``.
+    Each block is inverted by ``np.linalg.inv`` — all blocks of one
+    size in one stacked call, which runs the same LAPACK ``gesv`` per
+    block as a per-block call — and stored dense (see the module
+    docstring for the flop bill).
     """
     n = matrix.shape[0]
     if n == 0:

@@ -74,7 +74,7 @@ def uneven(matrix: sp.csr_matrix, offsets) -> DistributedMatrix:
 def with_duplicates(matrix: sp.csr_matrix) -> sp.csr_matrix:
     """``matrix`` with every row's entries reversed, each value split in
     two stored duplicates, and an explicit ``-0.0`` on each row."""
-    rows, data, indices, indptr = [], [], [], [0]
+    data, indices, indptr = [], [], [0]
     for i in range(matrix.shape[0]):
         start, stop = matrix.indptr[i], matrix.indptr[i + 1]
         cols = matrix.indices[start:stop][::-1]
